@@ -14,9 +14,11 @@ bench re-measures every one of them:
 
 from dataclasses import replace
 
+import pytest
+
 from repro.core.config import WaveScalarConfig
-from repro.core.experiments import run_cached
-from repro.workloads import Scale, get
+from repro.harness import CellSpec, simulate
+from repro.harness.spec import RUN_MAX_CYCLES, RUN_MAX_EVENTS
 
 from .conftest import bench_scale
 
@@ -27,26 +29,46 @@ BASE = WaveScalarConfig(
 APPS = ("ammp", "twolf", "djpeg", "rawdaudio")
 
 
-def mean_cycles(config, apps=APPS, threads=None, scale=None):
-    scale = scale or bench_scale()
+def run_app(config, name, threads=None):
+    """One full-budget run (``threads`` applies to multithreaded
+    workloads only)."""
+    return simulate(CellSpec(
+        config=config, workload=name, scale=bench_scale().value,
+        threads=threads, max_cycles=RUN_MAX_CYCLES,
+        max_events=RUN_MAX_EVENTS,
+    ))
+
+
+def mean_cycles(config, apps=APPS, threads=None):
     total = 0
     for name in apps:
-        kwargs = {"threads": threads} if get(name).multithreaded else {}
-        total += run_cached(config, name, scale, **kwargs).cycles
+        total += run_app(config, name, threads).cycles
     return total / len(apps)
+
+
+@pytest.fixture(scope="module")
+def base_cycles():
+    """Mean cycles of BASE over APPS, simulated once: the baseline the
+    associativity, pods and bank ablations share."""
+    return mean_cycles(BASE)
+
+
+def variant_cycles(base_cycles, **changes):
+    """Mean cycles of BASE with ``changes`` applied over APPS; a
+    variant equal to BASE reuses the baseline."""
+    config = replace(BASE, **changes)
+    return base_cycles if config == BASE else mean_cycles(config)
 
 
 def geo_speedup(base_cycles, new_cycles):
     return base_cycles / new_cycles
 
 
-def test_matching_associativity(record, benchmark):
-    # cache shared across benches: keys fully identify runs
-
+def test_matching_associativity(record, benchmark, base_cycles):
     def run():
-        direct = mean_cycles(replace(BASE, matching_associativity=1))
-        twoway = mean_cycles(replace(BASE, matching_associativity=2))
-        fourway = mean_cycles(replace(BASE, matching_associativity=4))
+        direct = variant_cycles(base_cycles, matching_associativity=1)
+        twoway = variant_cycles(base_cycles, matching_associativity=2)
+        fourway = variant_cycles(base_cycles, matching_associativity=4)
         return direct, twoway, fourway
 
     direct, twoway, fourway = benchmark.pedantic(run, rounds=1,
@@ -64,14 +86,11 @@ def test_matching_associativity(record, benchmark):
     assert abs(geo_speedup(twoway, fourway) - 1) < 0.05
 
 
-def test_pods_and_speculative_fire(record, benchmark):
-    # cache shared across benches: keys fully identify runs
-
+def test_pods_and_speculative_fire(record, benchmark, base_cycles):
     def run():
-        full = mean_cycles(BASE)
         no_pods = mean_cycles(replace(BASE, pods_enabled=False))
         no_spec = mean_cycles(replace(BASE, speculative_fire=False))
-        return full, no_pods, no_spec
+        return base_cycles, no_pods, no_spec
 
     full, no_pods, no_spec = benchmark.pedantic(run, rounds=1, iterations=1)
     text = (
@@ -87,7 +106,6 @@ def test_pods_and_speculative_fire(record, benchmark):
 
 
 def test_partial_store_queues(record, benchmark):
-    # cache shared across benches: keys fully identify runs
     apps = ("twolf", "radix")
 
     def run():
@@ -122,14 +140,11 @@ def test_storebuffer_wave_window(record, benchmark):
     strongest sense (1 would perform identically, at the cost of far
     more retry traffic).
     """
-    # cache shared across benches: keys fully identify runs
-
     def run():
         out = {}
         for n in (1, 2, 4, 8):
-            config = replace(BASE, storebuffer_waves=n)
-            result = run_cached(config, "fft", bench_scale(),
-                                threads=8)
+            result = run_app(replace(BASE, storebuffer_waves=n), "fft",
+                             threads=8)
             out[n] = (result.cycles, result.stats.sb_window_stalls)
         return out
 
@@ -148,12 +163,10 @@ def test_storebuffer_wave_window(record, benchmark):
     assert stalls[1] >= stalls[4] >= stalls[8]
 
 
-def test_matching_banks(record, benchmark):
-    # cache shared across benches: keys fully identify runs
-
+def test_matching_banks(record, benchmark, base_cycles):
     def run():
         return {
-            n: mean_cycles(replace(BASE, matching_banks=n))
+            n: variant_cycles(base_cycles, matching_banks=n)
             for n in (2, 4, 8)
         }
 

@@ -43,7 +43,6 @@ def render(suite_name, points):
 
 
 def run_all():
-    # cache shared across benches: keys fully identify runs
     designs = design_subset()
     scale = bench_scale()
     return {

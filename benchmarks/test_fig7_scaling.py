@@ -18,10 +18,7 @@ Checked shapes (Section 4.2):
   d -- "the optimal tile configuration varies with processor size".
 """
 
-from repro.core.experiments import (
-    evaluate_design_space,
-    scaling_study,
-)
+from repro.core.experiments import scaling_study
 from repro.design import viable_designs
 from repro.workloads import SPLASH_NAMES
 
@@ -41,7 +38,6 @@ def design_subset():
 
 
 def run_study():
-    # cache shared across benches: keys fully identify runs
     return scaling_study(
         scale=bench_scale(), names=SPLASH_NAMES, designs=design_subset()
     )

@@ -11,10 +11,12 @@ data ~80% of messages; inter-cluster share ~1.5%; message latency up
 ~12% from 1 to 16 clusters.
 """
 
+import pytest
+
 from repro.core import WaveScalarConfig
 from repro.core.experiments import (
     best_threaded_result,
-    run_cached,
+    message_mix,
     traffic_profile,
 )
 from repro.workloads import MEDIA_NAMES, SPEC_NAMES, SPLASH_NAMES
@@ -31,8 +33,21 @@ SPLASH_CONFIGS = {
 SINGLE = WaveScalarConfig(clusters=1, l2_mb=1)
 
 
-def run_profiles():
-    # cache shared across benches: keys fully identify runs
+@pytest.fixture(scope="module")
+def splash_results():
+    """Best-thread-count Splash2 runs per cluster count, simulated once
+    for both the traffic profiles and the latency trend."""
+    scale = bench_scale()
+    return {
+        clusters: [
+            best_threaded_result(config, name, scale)
+            for name in SPLASH_NAMES
+        ]
+        for clusters, config in SPLASH_CONFIGS.items()
+    }
+
+
+def run_profiles(splash_results):
     scale = bench_scale()
     profiles = {
         "Spec (1 cluster)": traffic_profile(SINGLE, SPEC_NAMES, scale),
@@ -40,29 +55,24 @@ def run_profiles():
             SINGLE, MEDIA_NAMES, scale
         ),
     }
-    for clusters, config in SPLASH_CONFIGS.items():
-        profiles[f"Splash2 ({clusters} clusters)"] = traffic_profile(
-            config, SPLASH_NAMES, scale, threaded=True
-        )
+    for clusters, results in splash_results.items():
+        profiles[f"Splash2 ({clusters} clusters)"] = message_mix(results)
     return profiles
 
 
-def latency_trend():
+def latency_trend(splash_results):
     """Average message latency on Splash2 at 1 vs 16 clusters."""
-    scale = bench_scale()
     out = {}
-    for clusters, config in SPLASH_CONFIGS.items():
-        total_lat, total_msg = 0.0, 0
-        for name in SPLASH_NAMES:
-            result = best_threaded_result(config, name, scale)
-            total_lat += result.stats.message_latency_sum
-            total_msg += result.stats.message_count
+    for clusters, results in splash_results.items():
+        total_lat = sum(r.stats.message_latency_sum for r in results)
+        total_msg = sum(r.stats.message_count for r in results)
         out[clusters] = total_lat / total_msg
     return out
 
 
-def test_fig8_traffic(record, benchmark):
-    profiles = benchmark.pedantic(run_profiles, rounds=1, iterations=1)
+def test_fig8_traffic(record, benchmark, splash_results):
+    profiles = benchmark.pedantic(run_profiles, args=(splash_results,),
+                                  rounds=1, iterations=1)
     lines = [
         f"{'workload group':<26}{'pod':>6}{'domain':>8}{'cluster':>9}"
         f"{'grid':>6}{'operand':>9}{'memory':>8}"
@@ -73,7 +83,7 @@ def test_fig8_traffic(record, benchmark):
             f"{p['cluster']:>9.0%}{p['grid']:>6.1%}"
             f"{p['operand']:>9.0%}{p['memory']:>8.0%}"
         )
-    lat = latency_trend()
+    lat = latency_trend(splash_results)
     lines.append(
         f"\navg message latency: 1 cluster {lat[1]:.1f}cyc, 4 clusters "
         f"{lat[4]:.1f}cyc, 16 clusters {lat[16]:.1f}cyc "

@@ -10,8 +10,8 @@ sweeps.
 
 from repro.area import chip_area
 from repro.core import WaveScalarConfig
-from repro.core.experiments import run_cached
-from repro.workloads import Scale
+from repro.harness import CellSpec, simulate
+from repro.harness.spec import RUN_MAX_CYCLES, RUN_MAX_EVENTS
 
 SIZES = [
     WaveScalarConfig(clusters=1, l2_mb=1),
@@ -25,15 +25,16 @@ WORKLOAD = "fft"
 
 
 def run_scaling():
-    # cache shared across benches: keys fully identify runs
     rows = []
     for config in SIZES:
         best = None
         for threads in THREADS:
             try:
-                result = run_cached(
-                    config, WORKLOAD, Scale.MEDIUM, threads=threads
-                )
+                result = simulate(CellSpec(
+                    config=config, workload=WORKLOAD, scale="medium",
+                    threads=threads, max_cycles=RUN_MAX_CYCLES,
+                    max_events=RUN_MAX_EVENTS,
+                ))
             except ValueError:
                 continue
             if best is None or result.aipc > best.aipc:

@@ -45,7 +45,6 @@ def render(results) -> str:
 
 
 def test_table4_tuning(record, benchmark):
-    # cache shared across benches: keys fully identify runs
     results = benchmark.pedantic(run_table4, rounds=1, iterations=1)
     record("table4_matching_tuning", render(results))
 

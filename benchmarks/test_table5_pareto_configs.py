@@ -35,7 +35,6 @@ def design_subset():
 
 
 def run_table5():
-    # cache shared across benches: keys fully identify runs
     designs = design_subset()
     return designs, evaluate_design_space(
         designs, SPLASH_NAMES, scale=bench_scale(), threaded=True

@@ -853,21 +853,21 @@ def graph_statics(
 
 # Per-process memo: the driver computes bounds for every design in a
 # grid against the same handful of workload instantiations.
-_STATICS_CACHE: dict[tuple, WorkloadStatics] = {}
+_statics_cache: dict[tuple, WorkloadStatics] = {}
 
 
 def clear_statics_cache() -> None:
-    _STATICS_CACHE.clear()
+    _statics_cache.clear()
 
 
 def _cached_statics(name: str, scale: str, threads: Optional[int],
                     k: Optional[int], seed: int) -> WorkloadStatics:
     key = (name, scale, threads, k, seed)
-    statics = _STATICS_CACHE.get(key)
+    statics = _statics_cache.get(key)
     if statics is None:
         statics = workload_statics(name, scale=scale, threads=threads,
                                    k=k, seed=seed)
-        _STATICS_CACHE[key] = statics
+        _statics_cache[key] = statics
     return statics
 
 

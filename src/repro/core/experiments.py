@@ -2,9 +2,11 @@
 
 Each function here regenerates one piece of the evaluation (Section 4)
 and is called by the corresponding benchmark in ``benchmarks/`` and by
-the example scripts.  Results are memoised per process because the
-Pareto analysis and the scaling study share many (config, workload)
-evaluations.
+the example scripts.  Every cell runs through the sweep harness: suite
+aggregates call :func:`~repro.harness.sweep.design_space_sweep`, and
+drivers that need a full result call
+:func:`~repro.harness.supervisor.simulate`.  Nothing is memoised; the
+compile cache spares a repeated cell its graph build, not its run.
 """
 
 from __future__ import annotations
@@ -13,123 +15,95 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
-from ..design.pareto import ParetoPoint, frontier_rows, pareto_front
+from ..design.pareto import ParetoPoint, frontier_rows
 from ..design.scaling import ScalingStudy, run_scaling_study
 from ..design.space import DesignPoint, viable_designs
 from ..design.virtualization import (
     TuningResult,
     tune_application,
 )
+from ..harness.spec import RUN_MAX_CYCLES, RUN_MAX_EVENTS, CellSpec
+from ..harness.supervisor import simulate
+from ..harness.sweep import (
+    THREAD_CANDIDATES,
+    SweepReport,
+    design_space_sweep,
+    feasible_thread_counts,
+)
 from ..sim.failures import SimulationDeadlock
-from ..workloads.base import Scale, Workload
+from ..workloads.base import Scale
 from ..workloads.registry import SPLASH_NAMES, get
 from .config import WaveScalarConfig
-from .processor import WaveScalarProcessor
 from .results import SimulationResult
 
 logger = logging.getLogger("repro.harness")
 
-#: Thread counts tried for each Splash2 run; the best is reported
-#: (Section 4.2: "we ran each application with a range of thread
-#: counts ... and report results for the best-performing thread
-#: count").
-THREAD_CANDIDATES = (1, 2, 4, 8, 16, 32, 64)
 
-#: Memoised verdicts: key -> (True, result) or (False, failure).  The
-#: key includes the cycle/event budgets -- a deadlock verdict (or a
-#: completed run) observed under a small budget must never be reused
-#: for a request with a larger one -- and negative results are cached
-#: explicitly so a known-failing cell is not re-simulated either.
-_CACHE: dict[tuple, tuple[bool, object]] = {}
-
-
-def clear_cache() -> None:
-    _CACHE.clear()
+def _result(config: WaveScalarConfig, workload_name: str, scale: Scale,
+            threads: Optional[int] = None, k: Optional[int] = None,
+            max_cycles: int = RUN_MAX_CYCLES,
+            max_events: int = RUN_MAX_EVENTS) -> SimulationResult:
+    """One cell's full result (output check included)."""
+    return simulate(CellSpec(
+        config=config, workload=workload_name, scale=scale.value,
+        threads=threads, k=k, max_cycles=max_cycles,
+        max_events=max_events,
+    ))
 
 
-def run_cached(
-    config: WaveScalarConfig,
-    workload_name: str,
-    scale: Scale = Scale.SMALL,
-    threads: Optional[int] = None,
-    k: Optional[int] = None,
-    seed: int = 0,
-    max_cycles: int = 20_000_000,
-    max_events: int = 200_000_000,
-) -> SimulationResult:
-    """Memoised workload execution (architectural check included)."""
-    key = (config, workload_name, scale, threads, k, seed,
-           max_cycles, max_events)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        ok, payload = hit
-        if not ok:
-            raise payload
-        return payload
-    workload = get(workload_name)
-    proc = WaveScalarProcessor(
-        config, max_cycles=max_cycles, max_events=max_events
+def _sweep(designs: Iterable[DesignPoint], names: Sequence[str],
+           scale: Scale, threaded: bool, candidates: Sequence[int],
+           **kwargs) -> tuple[list[ParetoPoint], SweepReport]:
+    """:func:`design_space_sweep` under the documented scoring rule: a
+    workload over its budget scores 0 at once, never retried at an
+    escalated budget.  Failed cells are logged, so discarded designs
+    stay auditable."""
+    points, report = design_space_sweep(
+        list(designs), names, scale=scale, threaded=threaded,
+        candidates=candidates, max_retries=0, **kwargs,
     )
-    try:
-        result = proc.run_workload(
-            workload, scale=scale, threads=threads, k=k, seed=seed
-        )
-    except SimulationDeadlock as exc:
-        _CACHE[key] = (False, exc)
-        raise
-    _CACHE[key] = (True, result)
-    return result
+    for cell in report.failures:
+        logger.warning("failed cell: %s", cell.render())
+    return points, report
 
 
 # ----------------------------------------------------------------------
 # Thread-count selection (Splash2)
 # ----------------------------------------------------------------------
-def feasible_thread_counts(
-    workload: Workload, scale: Scale,
-    candidates: Sequence[int] = THREAD_CANDIDATES,
-) -> list[int]:
-    """Thread counts the kernel's problem size admits."""
-    feasible = []
-    for threads in candidates:
-        try:
-            workload.instantiate(scale=scale, threads=threads)
-        except ValueError:
-            continue
-        feasible.append(threads)
-    return feasible
-
-
 def best_threaded_result(
     config: WaveScalarConfig,
     workload_name: str,
     scale: Scale = Scale.SMALL,
     candidates: Sequence[int] = THREAD_CANDIDATES,
-    max_cycles: int = 20_000_000,
-    max_events: int = 200_000_000,
+    max_cycles: int = RUN_MAX_CYCLES,
+    max_events: int = RUN_MAX_EVENTS,
 ) -> SimulationResult:
-    """The best-AIPC thread count for one workload on one config."""
-    workload = get(workload_name)
+    """The best-AIPC thread count for one workload on one config.
+
+    Probes upward through the feasible thread counts and stops at the
+    first that exceeds its budget, like a sweep lane; raises
+    :class:`~repro.sim.failures.SimulationDeadlock` when the first
+    count already fails.
+    """
     best: SimulationResult | None = None
-    feasible = feasible_thread_counts(workload, scale, candidates)
-    for index, threads in enumerate(feasible):
+    feasible = feasible_thread_counts(get(workload_name), scale, candidates)
+    for threads in feasible:
         try:
-            result = run_cached(
+            result = _result(
                 config, workload_name, scale, threads=threads,
                 max_cycles=max_cycles, max_events=max_events,
             )
         except SimulationDeadlock:
-            if best is None and index == len(feasible) - 1:
-                raise  # every thread count crawled; surface it
+            if best is None:
+                raise
             # More threads only add pressure on a configuration that
             # is already over budget; stop probing upward.
             break
         if best is None or result.aipc > best.aipc:
             best = result
     if best is None:
-        raise SimulationDeadlock(
-            f"{workload_name}: every thread count exceeded the cycle "
-            f"budget on {config.describe()}"
-        )
+        raise ValueError(f"{workload_name}: no feasible thread count "
+                         f"among {tuple(candidates)}")
     return best
 
 
@@ -138,7 +112,8 @@ def best_threaded_result(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class WorkloadFailure:
-    """One workload that scored zero on one configuration, and why."""
+    """One workload cell that failed its budget on one configuration,
+    and why."""
 
     workload: str
     failure_class: str
@@ -158,7 +133,7 @@ class SuiteMean(float):
     """A mean-AIPC value that also carries per-workload failure
     reports.  Behaves exactly like ``float`` in arithmetic and
     comparisons, so existing callers are unaffected; auditing code
-    reads ``.failures`` to see which workloads scored zero and why."""
+    reads ``.failures`` to see which workloads failed and why."""
 
     failures: tuple[WorkloadFailure, ...]
 
@@ -182,41 +157,31 @@ def suite_mean_aipc(
     A run that exceeds ``sweep_max_cycles`` (a pathologically starved
     configuration crawling through matching-table thrash) scores 0 --
     such designs are dominated by construction and the paper's
-    analysis would discard them the same way.  Unlike the old silent
-    ``pass``, every zero-scored workload is recorded on the returned
-    :class:`SuiteMean` and logged, so discarded designs stay auditable.
+    analysis would discard them the same way.  Every failed cell is
+    recorded on the returned :class:`SuiteMean`; a threaded workload
+    whose higher thread count failed keeps the score of the counts
+    below it.
+
+    The configuration is simulated as given, without static
+    pre-validation: :func:`scaling_study` measures replicated designs
+    that may lie outside the viable design space.
     """
-    total = 0.0
-    failures: list[WorkloadFailure] = []
-    for name in names:
-        try:
-            if threaded:
-                result = best_threaded_result(
-                    config, name, scale, candidates,
-                    max_cycles=sweep_max_cycles,
-                    max_events=sweep_max_events,
-                )
-            else:
-                result = run_cached(
-                    config, name, scale, max_cycles=sweep_max_cycles,
-                    max_events=sweep_max_events,
-                )
-            total += result.aipc
-        except SimulationDeadlock as exc:
-            detail = str(exc).splitlines()[0] if str(exc) else ""
-            failure = WorkloadFailure(
-                workload=name,
-                failure_class=type(exc).__name__,
-                max_cycles=sweep_max_cycles,
-                max_events=sweep_max_events,
-                detail=detail,
-            )
-            failures.append(failure)
-            logger.warning(
-                "%s scored 0 on %s: %s", name, config.describe(),
-                failure.render(),
-            )
-    return SuiteMean(total / len(names), failures)
+    # A lone design's area is not scored; only its mean is returned.
+    points, report = _sweep(
+        [DesignPoint(config=config, area_mm2=0.0)], names, scale,
+        threaded, candidates, isolation="inline",
+        max_cycles=sweep_max_cycles, max_events=sweep_max_events,
+        prevalidate=False,
+    )
+    failures = [
+        WorkloadFailure(
+            workload=cell.workload, failure_class=cell.failure_class,
+            max_cycles=sweep_max_cycles, max_events=sweep_max_events,
+            detail=cell.detail,
+        )
+        for cell in report.failures
+    ]
+    return SuiteMean(points[0].performance, failures)
 
 
 def evaluate_design_space(
@@ -229,44 +194,27 @@ def evaluate_design_space(
     ledger_path=None,
     resume: bool = False,
     timeout_s: Optional[float] = None,
-    isolation: str = "process",
+    isolation: str = "inline",
     jobs: Optional[int] = 1,
 ) -> list[ParetoPoint]:
     """AIPC-vs-area points for a suite over a set of designs.
 
-    With ``ledger_path``/``resume`` -- or ``jobs`` other than 1 -- the
-    evaluation routes through the fault-tolerant harness
-    (:func:`repro.harness.sweep.design_space_sweep`): every cell runs
-    supervised, is checkpointed to the JSONL ledger, and an
-    interrupted campaign resumes without re-simulating finished
-    cells.  ``jobs=N`` fans independent ``(design, workload)`` lanes
-    out over N worker processes (``None``/``0`` = one per core); the
-    returned points are identical for every ``jobs`` value.  The
-    default path stays in-process and memoised.
+    Runs :func:`~repro.harness.sweep.design_space_sweep`: by default
+    serially and in-process.  ``ledger_path`` checkpoints every cell
+    to a JSONL ledger and ``resume`` continues an interrupted campaign
+    without re-simulating finished cells; ``isolation="process"``
+    runs each cell in a watchdogged subprocess (``timeout_s``);
+    ``jobs=N`` fans independent ``(design, workload)`` lanes out over
+    N worker processes (``None``/``0`` = one per core).  The returned
+    points are identical for every ``jobs`` and ``isolation`` value.
+    A workload over the sweep budget scores 0 and is not retried at
+    an escalated budget.
     """
-    if ledger_path is not None or resume or jobs != 1:
-        from ..harness.sweep import design_space_sweep
-
-        points, _report = design_space_sweep(
-            list(designs), names, scale=scale, threaded=threaded,
-            candidates=candidates, ledger_path=ledger_path,
-            resume=resume, timeout_s=timeout_s, isolation=isolation,
-            jobs=jobs,
-        )
-        return points
-    points = []
-    for design in designs:
-        aipc = suite_mean_aipc(
-            design.config, names, scale, threaded, candidates
-        )
-        points.append(
-            ParetoPoint(
-                label=design.config.describe(),
-                area=design.area_mm2,
-                performance=float(aipc),
-                payload=design.config,
-            )
-        )
+    points, _report = _sweep(
+        designs, names, scale, threaded, candidates,
+        ledger_path=ledger_path, resume=resume, timeout_s=timeout_s,
+        isolation=isolation, jobs=jobs,
+    )
     return points
 
 
@@ -330,7 +278,6 @@ def tune_workload(
     """One Table 4 row: sweep k against an (effectively) infinite
     matching table, then oversubscribe to find u_opt."""
     workload = get(workload_name)
-    kwargs = {"threads": threads} if workload.multithreaded else {}
     static_size = len(workload.instantiate(scale=scale, threads=threads))
     pes = -(-static_size // 256)  # smallest PE count that fits at V=256
     pes += pes % 2  # pods need pairs
@@ -338,9 +285,9 @@ def tune_workload(
     def evaluate(k: int, matching_entries: int) -> float:
         config = tuning_config(k, matching_entries, pes=pes)
         try:
-            result = run_cached(
-                config, workload_name, scale, k=k, max_cycles=3_000_000,
-                max_events=5_000_000, **kwargs,
+            result = _result(
+                config, workload_name, scale, threads=threads, k=k,
+                max_cycles=3_000_000, max_events=5_000_000,
             )
         except SimulationDeadlock:
             # Pathological over-subscription thrashes so hard the run
@@ -392,21 +339,14 @@ def scaling_study(
 # ----------------------------------------------------------------------
 # Figure 8: traffic distribution
 # ----------------------------------------------------------------------
-def traffic_profile(
-    config: WaveScalarConfig,
-    names: Sequence[str],
-    scale: Scale = Scale.SMALL,
-    threaded: bool = False,
-) -> dict[str, float]:
-    """Aggregate message distribution over a suite (Figure 8 bars)."""
+def message_mix(results: Iterable[SimulationResult]) -> dict[str, float]:
+    """Message distribution aggregated over runs: the share of all
+    messages at each interconnect level (pod, domain, cluster, grid)
+    and of each kind (operand, memory) -- one Figure 8 bar."""
     totals = {"pod": 0, "domain": 0, "cluster": 0, "grid": 0,
               "operand": 0, "memory": 0}
     grand = 0
-    for name in names:
-        if threaded:
-            result = best_threaded_result(config, name, scale)
-        else:
-            result = run_cached(config, name, scale)
+    for result in results:
         for kind, per_level in result.stats.messages.items():
             for level, count in per_level.items():
                 totals[level] += count
@@ -415,3 +355,17 @@ def traffic_profile(
     if grand == 0:
         return {k: 0.0 for k in totals}
     return {k: v / grand for k, v in totals.items()}
+
+
+def traffic_profile(
+    config: WaveScalarConfig,
+    names: Sequence[str],
+    scale: Scale = Scale.SMALL,
+    threaded: bool = False,
+) -> dict[str, float]:
+    """Aggregate message distribution over a suite (Figure 8 bars)."""
+    if threaded:
+        return message_mix(
+            best_threaded_result(config, name, scale) for name in names
+        )
+    return message_mix(_result(config, name, scale) for name in names)

@@ -9,7 +9,9 @@ This package provides the pieces:
   watchdog timeout vs worker crash vs poisoned cell, each carrying
   diagnostics;
 * :class:`~repro.harness.spec.CellSpec` -- a content-hashed
-  ``(config, workload, threads, budgets, ...)`` unit of work;
+  ``(config, workload, threads, budgets, ...)`` unit of work, and
+  :func:`~repro.harness.supervisor.simulate`, the one function that
+  executes it (compile cache, engine run, output check);
 * :class:`~repro.harness.supervisor.RunSupervisor` -- subprocess
   isolation, a wall-clock watchdog, and bounded retry with escalated
   budgets for transient failures;
@@ -76,6 +78,7 @@ from .supervisor import (
     CellResult,
     RunSupervisor,
     execute_cell,
+    simulate,
 )
 from .sweep import CellFailure, SweepReport, design_space_sweep, sweep_cells
 
@@ -119,6 +122,7 @@ __all__ = [
     "is_transient",
     "open_ledger",
     "run_chaos_campaign",
+    "simulate",
     "static_rejection",
     "summarize",
     "sweep_cells",

@@ -25,6 +25,12 @@ from .faults import FaultPlan
 SWEEP_MAX_CYCLES = 5_000_000
 SWEEP_MAX_EVENTS = 1_000_000
 
+#: Budgets of a single full-result run (thread-count selection, traffic
+#: profiles, ablations): far above any tiny/small-scale workload, so
+#: only a genuinely wedged configuration exhausts them.
+RUN_MAX_CYCLES = 20_000_000
+RUN_MAX_EVENTS = 200_000_000
+
 
 @dataclass(frozen=True)
 class CellSpec:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..sim.backends import (
     DEFAULT_BACKEND,
@@ -33,6 +33,9 @@ from ..sim.failures import (
     is_transient,
 )
 from .spec import CellSpec
+
+if TYPE_CHECKING:
+    from ..core.results import SimulationResult
 
 #: Default wall-clock allowance per attempt, chosen far above any
 #: budgeted tiny/small-scale cell (seconds).
@@ -55,42 +58,41 @@ def _cache_delta(before: dict, after: dict) -> dict:
     }
 
 
-def execute_cell(spec: CellSpec, backend: str = DEFAULT_BACKEND) -> dict:
-    """Run one cell to completion in the current process.
+def simulate(spec: CellSpec,
+             backend: str = DEFAULT_BACKEND) -> SimulationResult:
+    """Run one cell to completion in the current process and return
+    its :class:`~repro.core.results.SimulationResult`.
 
-    Returns the flat, JSON-serialisable success payload; failures
-    propagate as taxonomy exceptions for the caller to classify.  The
-    payload's ``metrics`` block carries the cell's observability
-    series: wall time and event throughput (wall-clock, excluded from
-    determinism guarantees) plus the deterministic simulation counters
-    (events, cycles, dispatches, messages) that ``repro stats`` and
-    :class:`~repro.harness.sweep.SweepReport` aggregate.
-
+    The one way to execute a cell: the workload comes from the
+    per-process compile cache (:func:`~repro.sim.compile.get_compiled`),
+    runs under the cell's budgets and fault plan, and its outputs are
+    checked against the workload's reference (a mismatch raises
+    ``AssertionError``).  Failures propagate as taxonomy exceptions.
     ``backend`` selects the engine (see :mod:`repro.sim.backends`);
-    every backend produces bit-identical simulated results, so the
-    payload differs only in its wall-clock fields.
+    every backend produces bit-identical results.
     """
     from ..core.processor import WaveScalarProcessor
-    from ..obs.metrics import cell_metrics
-    from ..sim.compile import cache_info, get_compiled
-    from ..workloads.registry import get
 
-    workload = get(spec.workload)
-    threads = spec.threads if workload.multithreaded else None
     proc = WaveScalarProcessor(
         spec.config, max_cycles=spec.max_cycles,
         max_events=spec.max_events, backend=backend,
     )
-    started = time.perf_counter()
-    cache_before = cache_info()
-    compiled = get_compiled(
-        spec.workload, scale=spec.scale, threads=threads, k=spec.k,
-        seed=spec.seed,
-    )
-    result = proc.run_compiled(compiled, faults=spec.faults)
-    wall_s = time.perf_counter() - started
-    metrics = cell_metrics(result.stats, wall_s)
-    metrics.update(_cache_delta(cache_before, cache_info()))
+    return proc.run_compiled(_compiled(spec), faults=spec.faults)
+
+
+def _compiled(spec: CellSpec):
+    """The cell's workload from the per-process compile cache (the
+    thread count only applies to multithreaded workloads)."""
+    from ..sim.compile import get_compiled
+    from ..workloads.registry import get
+
+    threads = spec.threads if get(spec.workload).multithreaded else None
+    return get_compiled(spec.workload, scale=spec.scale, threads=threads,
+                        k=spec.k, seed=spec.seed)
+
+
+def _ok_payload(result, metrics: dict) -> dict:
+    """The flat, JSON-serialisable success payload of one cell."""
     return {
         "status": "ok",
         "aipc": result.aipc,
@@ -101,6 +103,28 @@ def execute_cell(spec: CellSpec, backend: str = DEFAULT_BACKEND) -> dict:
         "alpha_instructions": result.stats.alpha_instructions,
         "metrics": metrics,
     }
+
+
+def execute_cell(spec: CellSpec, backend: str = DEFAULT_BACKEND) -> dict:
+    """:func:`simulate` one cell, as the supervisor's success payload.
+
+    Failures propagate as taxonomy exceptions for the caller to
+    classify.  The payload's ``metrics`` block carries the cell's
+    observability series: wall time and event throughput (wall-clock,
+    excluded from determinism guarantees) plus the deterministic
+    simulation counters (events, cycles, dispatches, messages) that
+    ``repro stats`` and :class:`~repro.harness.sweep.SweepReport`
+    aggregate.
+    """
+    from ..obs.metrics import cell_metrics
+    from ..sim.compile import cache_info
+
+    started = time.perf_counter()
+    cache_before = cache_info()
+    result = simulate(spec, backend=backend)
+    metrics = cell_metrics(result.stats, time.perf_counter() - started)
+    metrics.update(_cache_delta(cache_before, cache_info()))
+    return _ok_payload(result, metrics)
 
 
 def execute_batch(specs: list[CellSpec]) -> list[dict]:
@@ -119,9 +143,8 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
     from ..core.results import SimulationResult
     from ..obs.metrics import cell_metrics
     from ..sim.batched import BatchedEngine
-    from ..sim.compile import cache_info, get_compiled
+    from ..sim.compile import cache_info
     from ..sim.engine import Engine
-    from ..workloads.registry import get
 
     if not specs:
         return []
@@ -139,14 +162,9 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
                 f"{spec.describe()}: fault-plan cells cannot join a "
                 f"batch group (run them on the plain backend)"
             )
-    workload = get(first.workload)
-    threads = first.threads if workload.multithreaded else None
     started = time.perf_counter()
     cache_before = cache_info()
-    compiled = get_compiled(
-        first.workload, scale=first.scale, threads=threads, k=first.k,
-        seed=first.seed,
-    )
+    compiled = _compiled(first)
     procs = []
     engines = []
     for spec in specs:
@@ -173,7 +191,7 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
         result = SimulationResult(
             program=compiled.graph.name, config=spec.config,
             stats=outcome.stats, area=proc._area, timing=proc._timing,
-            threads=threads,
+            threads=compiled.threads,
         )
         got = result.outputs()
         if got != expected:
@@ -186,16 +204,7 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
             continue
         metrics = cell_metrics(result.stats, wall_s)
         metrics.update(cache_delta)
-        payloads.append({
-            "status": "ok",
-            "aipc": result.aipc,
-            "ipc": result.ipc,
-            "cycles": result.cycles,
-            "area_mm2": result.area_mm2,
-            "dynamic_instructions": result.stats.dynamic_instructions,
-            "alpha_instructions": result.stats.alpha_instructions,
-            "metrics": metrics,
-        })
+        payloads.append(_ok_payload(result, metrics))
     return payloads
 
 
@@ -523,15 +532,7 @@ class RunSupervisor:
         will hit the same error and classify it properly.
         """
         try:
-            from ..sim.compile import get_compiled
-            from ..workloads.registry import get
-
-            workload = get(spec.workload)
-            threads = spec.threads if workload.multithreaded else None
-            get_compiled(
-                spec.workload, scale=spec.scale, threads=threads,
-                k=spec.k, seed=spec.seed,
-            )
+            _compiled(spec)
         except Exception:  # noqa: BLE001 - deferred to the attempt
             pass
 
@@ -544,15 +545,7 @@ class RunSupervisor:
         try:
             return execute_cell(spec, backend=self.backend)
         except SimulationDeadlock as exc:
-            diagnostics = getattr(exc, "diagnostics", None)
-            return {
-                "status": "failed",
-                "failure_class": type(exc).__name__,
-                "failure_detail":
-                    str(exc).splitlines()[0] if str(exc) else "",
-                "diagnostics":
-                    diagnostics.to_dict() if diagnostics else None,
-            }
+            return _failure_payload(exc)
 
     def _attempt_process(self, spec: CellSpec, sabotage=None) -> dict:
         channel = self._ctx.SimpleQueue()

@@ -17,10 +17,9 @@ the content-hash-keyed record map, so the returned
 :class:`~repro.design.pareto.ParetoPoint` list is identical for any
 ``jobs`` value and any completion order.
 
-Aggregation mirrors the paper's method (and the historical in-process
-code path): per workload the best-performing thread count wins, a
-failed workload scores zero AIPC, and a design's suite score is the
-mean over workloads.
+Aggregation mirrors the paper's method: per workload the
+best-performing thread count wins, a failed workload scores zero AIPC,
+and a design's suite score is the mean over workloads.
 """
 
 from __future__ import annotations
@@ -31,19 +30,43 @@ from typing import Callable, Iterable, Optional, Sequence
 from ..design.pareto import ParetoPoint
 from ..design.space import DesignPoint
 from ..obs.metrics import ThroughputMeter
-from ..workloads.base import Scale
+from ..workloads.base import Scale, Workload
+from ..workloads.registry import get
 from .ledger import Ledger
 from .scheduler import Lane, execute_lanes, static_rejection
 from .spec import SWEEP_MAX_CYCLES, SWEEP_MAX_EVENTS, CellSpec
 from .supervisor import RunSupervisor
 
 __all__ = [
+    "THREAD_CANDIDATES",
     "CellFailure",
     "SweepReport",
     "design_space_sweep",
+    "feasible_thread_counts",
     "static_rejection",
     "sweep_cells",
 ]
+
+#: Thread counts tried for each multithreaded workload; the best is
+#: reported (Section 4.2: "we ran each application with a range of
+#: thread counts ... and report results for the best-performing thread
+#: count").
+THREAD_CANDIDATES = (1, 2, 4, 8, 16, 32, 64)
+
+
+def feasible_thread_counts(
+    workload: Workload, scale: Scale,
+    candidates: Sequence[int] = THREAD_CANDIDATES,
+) -> list[int]:
+    """Thread counts the kernel's problem size admits."""
+    feasible = []
+    for threads in candidates:
+        try:
+            workload.instantiate(scale=scale, threads=threads)
+        except ValueError:
+            continue
+        feasible.append(threads)
+    return feasible
 
 
 @dataclass
@@ -304,10 +327,7 @@ def build_lanes(
     """One lane per ``(design, workload)`` pair, in canonical
     design-major order.  A lane's cells are its thread-count
     escalation sequence; the lane protocol stops probing upward after
-    the first failure, exactly like the historical serial loop."""
-    from ..core.experiments import feasible_thread_counts
-    from ..workloads.registry import get
-
+    the first failure."""
     lanes: list[Lane] = []
     feasible_memo: dict[str, Sequence[Optional[int]]] = {}
     for design_index, design in enumerate(designs):
@@ -903,7 +923,7 @@ def design_space_sweep(
     names: Sequence[str],
     scale: Scale = Scale.SMALL,
     threaded: bool = False,
-    candidates: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
+    candidates: Sequence[int] = THREAD_CANDIDATES,
     *,
     ledger_path=None,
     resume: bool = False,
@@ -926,9 +946,9 @@ def design_space_sweep(
 ) -> tuple[list[ParetoPoint], SweepReport]:
     """The fault-tolerant Figure 6/7 evaluation loop.
 
-    Every ``(design, workload, threads)`` cell runs supervised; the
-    returned points are identical in shape to
-    ``repro.core.experiments.evaluate_design_space`` -- and identical
+    Every ``(design, workload, threads)`` cell runs supervised (this
+    is also the loop behind every aggregate in
+    :mod:`repro.core.experiments`); the returned points are identical
     in value for every ``jobs`` setting (``1`` = serial in-process,
     ``N>1`` = N worker processes, ``None``/``0`` = one per core).
 
@@ -963,7 +983,16 @@ def design_space_sweep(
     time, so batched cells simply run at width 1).  Records are
     bit-identical across backends apart from wall-clock fields and the
     ``backend``/``backend_fallback`` annotations.
+
+    ``scale`` may be a :class:`~repro.workloads.base.Scale` or its
+    value (``"tiny"``); an empty ``names`` raises ``ValueError``.
     """
+    scale = Scale(scale)
+    if not names:
+        raise ValueError(
+            "design_space_sweep: names is empty; a design's score is "
+            "the mean over at least one workload"
+        )
     if supervisor is None:
         kwargs = {} if timeout_s is None else {"timeout_s": timeout_s}
         if backend is not None:

@@ -66,17 +66,17 @@ FEATURE_NAMES: tuple[str, ...] = (
 
 # Per-process memo: area is a pure function of the config and the
 # sweep grid re-uses a handful of configs across many workloads.
-_AREA_CACHE: dict[str, float] = {}
+_area_cache: dict[str, float] = {}
 
 
 def _area_of(config) -> float:
     key = config.describe()
-    area = _AREA_CACHE.get(key)
+    area = _area_cache.get(key)
     if area is None:
         from ..area.model import chip_area
 
         area = chip_area(config)
-        _AREA_CACHE[key] = area
+        _area_cache[key] = area
     return area
 
 

@@ -4,29 +4,25 @@ import pytest
 
 from repro.core import WaveScalarConfig
 from repro.core.experiments import (
-    THREAD_CANDIDATES,
     best_threaded_result,
-    clear_cache,
     evaluate_design_space,
-    feasible_thread_counts,
     pareto_table,
-    run_cached,
     suite_mean_aipc,
     traffic_profile,
     tuning_config,
 )
 from repro.design import DesignPoint, pareto_front
 from repro.area.model import chip_area
+from repro.harness import CellSpec, simulate
+from repro.harness.sweep import THREAD_CANDIDATES, feasible_thread_counts
 from repro.workloads import Scale, get
 
 CFG = WaveScalarConfig(clusters=1, l2_mb=1)
 
 
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    clear_cache()
-    yield
-    clear_cache()
+def _aipc(name, threads=None, **budgets):
+    return simulate(CellSpec(config=CFG, workload=name, scale="tiny",
+                             threads=threads, **budgets)).aipc
 
 
 def test_feasible_thread_counts_respect_problem_size():
@@ -37,18 +33,14 @@ def test_feasible_thread_counts_respect_problem_size():
 
 
 def test_best_threaded_result_is_maximal():
-    results = {
-        t: run_cached(CFG, "radix", Scale.TINY, threads=t)
-        for t in (1, 4)
-    }
     best = best_threaded_result(CFG, "radix", Scale.TINY,
                                 candidates=(1, 4))
-    assert best.aipc == max(r.aipc for r in results.values())
+    assert best.aipc == max(_aipc("radix", threads=t) for t in (1, 4))
 
 
 def test_suite_mean_aipc_is_mean():
-    a = run_cached(CFG, "mcf", Scale.TINY).aipc
-    b = run_cached(CFG, "gzip", Scale.TINY).aipc
+    a = _aipc("mcf")
+    b = _aipc("gzip")
     mean = suite_mean_aipc(CFG, ("mcf", "gzip"), Scale.TINY)
     assert mean == pytest.approx((a + b) / 2)
 
@@ -97,51 +89,24 @@ def test_tuning_config_shapes():
     assert big.matching_entries <= 1 << 14
 
 
-def test_cache_distinguishes_parameters():
-    a = run_cached(CFG, "mcf", Scale.TINY)
-    b = run_cached(CFG, "mcf", Scale.TINY, k=1)
-    assert a is not b
-
-
-def test_cache_distinguishes_budgets():
-    """A verdict reached under a small budget must not be reused for a
-    request with a larger one (the old key omitted the budgets)."""
-    from repro.sim.failures import CycleBudgetExhausted
-
-    with pytest.raises(CycleBudgetExhausted):
-        run_cached(CFG, "mcf", Scale.TINY, max_cycles=50)
-    # The full-budget request runs fresh and succeeds.
-    result = run_cached(CFG, "mcf", Scale.TINY)
-    assert result.aipc > 0
-
-
-def test_cache_stores_negative_results():
-    """A known-failing cell re-raises from cache instead of
-    re-simulating."""
-    from repro.core import experiments
-    from repro.sim.failures import CycleBudgetExhausted
-
-    with pytest.raises(CycleBudgetExhausted) as first:
-        run_cached(CFG, "mcf", Scale.TINY, max_cycles=50)
-    populated = dict(experiments._CACHE)
-    with pytest.raises(CycleBudgetExhausted) as second:
-        run_cached(CFG, "mcf", Scale.TINY, max_cycles=50)
-    assert second.value is first.value  # served from cache
-    assert experiments._CACHE == populated  # no new entries
-
-
 def test_suite_mean_reports_failures():
     """Zero-scored workloads are recorded on the returned value, not
-    silently swallowed."""
+    silently swallowed, and are not retried at an escalated budget."""
+    cycles = simulate(
+        CellSpec(config=CFG, workload="mcf", scale="tiny")
+    ).cycles
+    # Half the cycles mcf needs: a 4x escalated retry would complete.
+    budget = cycles // 2
     mean = suite_mean_aipc(
-        CFG, ("mcf",), Scale.TINY, sweep_max_cycles=50
+        CFG, ("mcf",), Scale.TINY, sweep_max_cycles=budget
     )
     assert float(mean) == 0.0
     assert len(mean.failures) == 1
     failure = mean.failures[0]
     assert failure.workload == "mcf"
     assert failure.failure_class == "CycleBudgetExhausted"
-    assert failure.max_cycles == 50
+    assert failure.max_cycles == budget
+    assert f"exceeded {budget} cycles" in failure.detail
     assert "CycleBudgetExhausted" in failure.render()
     # Successful suites carry an empty report and stay float-like.
     ok = suite_mean_aipc(CFG, ("mcf",), Scale.TINY)
@@ -150,27 +115,24 @@ def test_suite_mean_reports_failures():
 
 
 def test_evaluate_design_space_with_ledger(tmp_path):
-    """The harness-backed path produces the same points as the
-    in-process path and resumes from its ledger."""
-    from repro.area.model import chip_area
+    """A ledgered evaluation gives the points of the default call and
+    resumes from its ledger without re-simulating."""
     from repro.harness import Ledger
 
     designs = [DesignPoint(config=CFG, area_mm2=chip_area(CFG))]
     baseline = evaluate_design_space(designs, ("mcf",), Scale.TINY)
     path = tmp_path / "runs.jsonl"
     points = evaluate_design_space(
-        designs, ("mcf",), Scale.TINY,
-        ledger_path=path, isolation="inline",
+        designs, ("mcf",), Scale.TINY, ledger_path=path,
     )
-    assert points[0].performance == \
-        pytest.approx(baseline[0].performance)
+    assert points == baseline
     assert len(Ledger(path).load()) == 1
+    written = path.read_text()
     resumed = evaluate_design_space(
-        designs, ("mcf",), Scale.TINY,
-        ledger_path=path, resume=True, isolation="inline",
+        designs, ("mcf",), Scale.TINY, ledger_path=path, resume=True,
     )
-    assert resumed[0].performance == \
-        pytest.approx(baseline[0].performance)
+    assert resumed == baseline
+    assert path.read_text() == written  # nothing re-simulated
 
 
 def test_front_of_evaluated_points_is_consistent():

@@ -64,19 +64,6 @@ def test_frequency_and_describe():
     assert "FO4" in proc.describe()
 
 
-def test_experiments_cache():
-    from repro.core.experiments import clear_cache, run_cached
-
-    clear_cache()
-    r1 = run_cached(BASELINE, "mcf", Scale.TINY)
-    r2 = run_cached(BASELINE, "mcf", Scale.TINY)
-    assert r1 is r2
-    clear_cache()
-    r3 = run_cached(BASELINE, "mcf", Scale.TINY)
-    assert r3 is not r1
-    assert r3.aipc == r1.aipc  # deterministic
-
-
 def test_best_threaded_result_picks_feasible_best():
     from repro.core.experiments import best_threaded_result
 
